@@ -9,7 +9,7 @@
 //
 // Workloads: poll (GETs across the whole tree), compose (Redfish
 // compose + decompose cycles) and replicated-write (PATCHes to a WAL
-// leader with one semi-synchronous replica and event subscribers).
+// leader with one asynchronous replica and event subscribers).
 // --trace 0 prints the end-to-end metrics; --trace 1 installs timing
 // wrappers and watchers on the program's public seams, runs the
 // direct-call rungs and prints the per-layer metrics instead.
@@ -75,6 +75,9 @@ func main() {
 	}
 	if *seconds < 1 {
 		fatal("e2ebench: --seconds must be at least 1")
+	}
+	if spec.procs > 0 {
+		runtime.GOMAXPROCS(spec.procs)
 	}
 	if err := os.MkdirAll(*workdir, 0o755); err != nil {
 		fatal("e2ebench: workdir: %v", err)

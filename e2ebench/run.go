@@ -58,6 +58,8 @@ type workloadSpec struct {
 	prepare func(env *runEnv) error
 	// setup builds one instance; it is what setup_s times.
 	setup func(env *runEnv) (instance, error)
+	// procs, when above zero, is the GOMAXPROCS the run uses.
+	procs int
 }
 
 var specs = map[string]*workloadSpec{
@@ -164,6 +166,9 @@ func run(spec *workloadSpec, env *runEnv, d time.Duration) (*result, error) {
 	// with the number of operations a run completes. The second GC drops
 	// what the first left in sync.Pool victim caches.
 	inst.release()
+	for _, c := range st {
+		c.us = nil
+	}
 	runtime.GC()
 	runtime.GC()
 	var msHeap runtime.MemStats

@@ -31,12 +31,19 @@ import (
 
 // writeSpec PATCHes a WAL leader that ships to an in-process replica,
 // with event subscribers: store write path, persist, repl, events.
+//
+// It runs on one P. Each write crosses the handler, the WAL append, the
+// shipping stream, the replica's apply, four sinks and the SSE stream,
+// and on two vCPUs shared with neighbours those hand-offs made the
+// write rate swing by a fifth and more between runs of one commit; on
+// one P the same runs agree to a few percent.
 var writeSpec = &workloadSpec{
 	classes:     []string{"write"},
 	opClass:     "write",
 	followClass: "event",
 	prepare:     prepareWrite,
 	setup:       setupWrite,
+	procs:       1,
 }
 
 const (
@@ -52,11 +59,15 @@ const (
 	// replication, not failover.
 	replLease   = 30 * time.Second
 	syncTimeout = 5 * time.Second
-	// warmWrites are the untimed PATCHes before the window. With the
-	// standing set's commits and the window's writes they fill the
-	// leader's shipping backlog (repl.HubConfig.RingSize, 65536 records
-	// by default), so heap_mib reads the leader with a full backlog
-	// rather than one that grows with every write the run completes.
+	// hubRing is the leader's shipping backlog, repl.HubConfig.RingSize
+	// left at its default. It holds every record the leader committed
+	// until it passes hubRing, then drops to three quarters of it and
+	// grows again, so its length depends on how many writes a run
+	// completed. The backlog is filled before the window, which then
+	// runs against a full backlog, and again before heap_mib is read,
+	// which then reads the leader with a full backlog in every run.
+	hubRing = 65536
+	// warmWrites are the untimed PATCHes over HTTP before the window.
 	warmWrites = 8192
 )
 
@@ -133,6 +144,8 @@ type writeInstance struct {
 	conns    []*writeConn
 	recoverS float64
 	bootS    float64
+	startSeq uint64     // leader's commit sequence when its backlog started
+	fillRNG  *rand.Rand // values of the backlog-filling writes
 
 	matching    []*countingSink
 	nonMatching []*countingSink
@@ -236,6 +249,7 @@ func (w *writeInstance) start(env *runEnv) error {
 	replMux.Handle("/", w.replSvc.Handler())
 	replMux.Handle(repl.PathPrefix, w.replica.Handler())
 
+	w.startSeq = st.Seq()
 	w.leader.Start()
 	t0 = time.Now()
 	w.replica.Start()
@@ -270,8 +284,13 @@ func (w *writeInstance) warm() error {
 		}
 		w.conns = append(w.conns, wc)
 	}
-	// Untimed rounds fill pools, caches and part of the shipping backlog;
-	// the subscriptions join after them, so they see only window writes.
+	// The backlog fills first; untimed rounds then warm pools and
+	// caches. The subscriptions join after both, so they see only window
+	// writes.
+	w.fillRNG = rand.New(rand.NewSource(w.seed))
+	if err := w.fillBacklog(); err != nil {
+		return err
+	}
 	perRound := facilityNodes / benchConns
 	warm, _ := drive(w, writeSpec, func(n int) bool { return n*perRound < warmWrites/benchConns })
 	if st := warm["write"]; st.failed > 0 {
@@ -307,6 +326,37 @@ func (w *writeInstance) warm() error {
 		w.replicaTimes.enable()
 	}
 	return nil
+}
+
+// backlogLen is the length of the leader's shipping backlog after n
+// commits of one record each since it started. A commit of several
+// records can only trim the backlog earlier, so its real length is at
+// most this.
+func backlogLen(n int64) int64 {
+	if n <= hubRing {
+		return n
+	}
+	floor := int64(hubRing * 3 / 4)
+	return floor + (n-hubRing-1)%(hubRing-floor+1)
+}
+
+// fillBacklog commits direct store PATCHes of a field the window never
+// writes, one record each, until the leader's backlog is full.
+func (w *writeInstance) fillBacklog() error {
+	st := w.fw.Service.Store()
+	for {
+		need := hubRing - backlogLen(int64(st.Seq()-w.startSeq))
+		if need == 0 {
+			return nil
+		}
+		for ; need > 0; need-- {
+			uri := service.SystemsURI.Append(core.NodeName(w.fillRNG.Intn(facilityNodes)))
+			patch := map[string]any{"Oem": map[string]any{"Bench": map[string]any{"History": w.fillRNG.Int63()}}}
+			if err := st.Patch(uri, patch, ""); err != nil {
+				return fmt.Errorf("backlog fill: %w", err)
+			}
+		}
+	}
 }
 
 // openSSE opens one SSE stream filtered to ResourceUpdated and drains
@@ -558,8 +608,15 @@ func (w *writeInstance) recoverCopy() (map[string]int64, error) {
 func (w *writeInstance) registry() *obsv.Registry { return w.fw.Service.Metrics().Registry() }
 func (w *writeInstance) baseURL() string          { return w.srv.URL }
 
-// release drops the send and receipt times kept per write.
+// release fills the leader's backlog again, so heap_mib reads the same
+// backlog in every run, and drops the send and receipt times kept per
+// write. The filling writes' events reach the subscribers after the
+// oracles have run; release waits for them before dropping receipts.
 func (w *writeInstance) release() {
+	if err := w.fillBacklog(); err != nil {
+		fmt.Printf("release: %v\n", err)
+	}
+	w.quiesce(10 * time.Second)
 	w.mu.Lock()
 	w.sends = nil
 	w.mu.Unlock()
